@@ -270,8 +270,8 @@ std::vector<svc::Query> microbench_batch(std::size_t n) {
   return batch;
 }
 
-// Per-query cost of a cache hit: canonicalize + pack + hash + one LRU
-// probe.  This is the service's steady-state hot path.
+// Per-query cost of a cache hit: canonicalize + pack + hash + one
+// lock-free cache probe.  This is the service's steady-state hot path.
 void BM_QueryCached(benchmark::State& state) {
   svc::QueryEngine& engine = microbench_engine();
   const std::vector<svc::Query> batch = microbench_batch(1024);
@@ -287,7 +287,7 @@ void BM_QueryCached(benchmark::State& state) {
 BENCHMARK(BM_QueryCached);
 
 // Per-query cost of a miss: the same path plus a full model evaluation
-// and an LRU insert.  The gap to BM_QueryCached is what each cache hit
+// and a cache insert.  The gap to BM_QueryCached is what each cache hit
 // saves.
 void BM_QueryUncached(benchmark::State& state) {
   svc::QueryEngine& engine = microbench_engine();

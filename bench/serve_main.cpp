@@ -65,7 +65,7 @@ void print_help(const char* argv0, std::FILE* out) {
       "                       below-target mega-batch (default: 200)\n"
       "  --no-coalesce        shorthand for --coalesce 0 (evaluate one\n"
       "                       frame per batch, the pre-coalescing path)\n"
-      "  --cache N            LRU entries per engine shard (default: 32768)\n"
+      "  --cache N            cache entries per engine shard (default: 32768)\n"
       "  --shards N           engine shard count (default: auto)\n"
       "  --shard I/N          serve only consistent-hash range I of N and\n"
       "                       answer WRONG_SHARD to any key outside it;\n"

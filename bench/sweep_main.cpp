@@ -7,7 +7,7 @@
 // and answers it twice:
 //   1. the naive serial loop (evaluate_serial: no sharding, no cache), the
 //      correctness reference and the throughput baseline;
-//   2. the sharded engine over a thread pool with per-shard LRU caches.
+//   2. the sharded engine over a thread pool with per-shard CLOCK caches.
 // The two result arrays must be byte-identical; the run reports
 // queries/sec for both, the sharded/cached speedup, and the cache hit
 // rate, and writes BENCH_sweep.json.
@@ -100,7 +100,7 @@ void print_help(const char* argv0, std::FILE* out) {
       "                    (default: hardware concurrency)\n"
       "  --shards N        engine shard count (default: 2x hardware\n"
       "                    concurrency, power of two)\n"
-      "  --cache N         LRU entries per shard (default: 32768)\n"
+      "  --cache N         cache entries per shard (default: 32768)\n"
       "  --json PATH       where to write the benchmark JSON\n"
       "                    (default: BENCH_sweep.json; \"-\" disables)\n"
       "  --metrics PATH    write the metrics registry as JSON afterwards\n"

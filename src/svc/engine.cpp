@@ -1,6 +1,7 @@
 #include "svc/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <fstream>
 #include <stdexcept>
@@ -382,26 +383,6 @@ QueryResult QueryEngine::compute(const Query& q) const {
   return r;
 }
 
-std::uint64_t QueryEngine::drain_promotions(Shard& shard) {
-  const std::uint64_t p = shard.promos.pos.load(std::memory_order_acquire);
-  if (p == shard.promo_drained) return 0;
-  // Replay oldest-to-newest so the most recent hit ends up most recently
-  // used.  Entries beyond the ring capacity were overwritten (promotion is
-  // approximate by design); a torn hi/lo pair or an evicted key simply
-  // fails the probe and is skipped.
-  const std::uint64_t pending =
-      std::min<std::uint64_t>(p - shard.promo_drained, PromoRing::kEntries);
-  std::uint64_t applied = 0;
-  for (std::uint64_t j = 0; j < pending; ++j) {
-    const std::uint64_t slot = (p - pending + j) & (PromoRing::kEntries - 1);
-    const CanonicalKey key{shard.promos.hi[slot].load(std::memory_order_relaxed),
-                           shard.promos.lo[slot].load(std::memory_order_relaxed)};
-    if (shard.cache.promote(key, hash_key(key))) ++applied;
-  }
-  shard.promo_drained = p;
-  return applied;
-}
-
 void QueryEngine::evaluate(std::span<const Query> queries, BatchResults& out,
                            sim::ThreadPool* pool) {
   const std::size_t n = queries.size();
@@ -427,9 +408,9 @@ void QueryEngine::evaluate(std::span<const Query> queries, BatchResults& out,
       });
 
   // Stage 2a: the lock-free hit sweep.  Every query probes its shard's
-  // seqlock read view; hits copy the cached bytes and record an
-  // approximate promotion, misses are queued per block for the locked
-  // fill.  No mutex is touched anywhere on this path.
+  // seqlock read view; hits copy the cached bytes (and mark the entry
+  // referenced), misses are queued per block for the locked fill.  No
+  // mutex is touched anywhere on this path.
   const std::size_t nshards = shards_.size();
   const std::size_t blocks = (n + kCanonBlock - 1) / kCanonBlock;
   out.miss_idx_.resize(n);
@@ -454,7 +435,6 @@ void QueryEngine::evaluate(std::span<const Query> queries, BatchResults& out,
             out.values_[i] = r.value;
             out.secondary_[i] = r.secondary;
             out.flags_[i] = r.flags;
-            shard.promos.record(key);
             ++hits;
           } else {
             // kMiss and kRetry both resolve under the shard mutex below.
@@ -471,9 +451,10 @@ void QueryEngine::evaluate(std::span<const Query> queries, BatchResults& out,
 
   // Stage 2b: the per-shard miss fill.  Group the sweep's leftovers by
   // shard (one counting sort over the miss indices), then one task per
-  // shard takes its mutex exactly once, replays pending promote-on-hit
-  // batches, re-probes each leftover (another batch may have inserted it
-  // since the sweep — that's a locked hit), and computes the rest.
+  // shard takes its mutex exactly once, re-probes each leftover (another
+  // batch may have inserted it since the sweep — that's a locked hit), and
+  // computes the rest.  Second chances the CLOCK hand grants while
+  // inserting are counted as promotions.
   std::uint64_t total_misses = 0;
   for (std::size_t b = 0; b < blocks; ++b) total_misses += out.block_misses_[b];
   std::atomic<std::uint64_t> locked_hits{0};
@@ -511,7 +492,7 @@ void QueryEngine::evaluate(std::span<const Query> queries, BatchResults& out,
       const std::uint64_t t0 = obs::metrics_now_ns();
       std::unique_lock<std::mutex> lock(shard.mutex);
       const std::uint64_t wait = t0 ? obs::metrics_now_ns() - t0 : 0;
-      const std::uint64_t promos = drain_promotions(shard);
+      const std::uint64_t chances = shard.cache.second_chances();
       std::uint64_t hits = 0;
       std::uint64_t misses = 0;
       for (std::size_t j = begin; j < end; ++j) {
@@ -535,7 +516,7 @@ void QueryEngine::evaluate(std::span<const Query> queries, BatchResults& out,
       ++shard.lock_acquisitions;
       if (misses == 0) ++shard.hit_lock_acquisitions;
       shard.lock_wait_ns += wait;
-      shard.promotions += promos;
+      const std::uint64_t promos = shard.cache.second_chances() - chances;
       lock.unlock();
       locked_hits.fetch_add(hits, std::memory_order_relaxed);
       locked_misses.fetch_add(misses, std::memory_order_relaxed);
@@ -588,7 +569,7 @@ EngineStats QueryEngine::stats() const {
     s.lock_acquisitions += shard->lock_acquisitions;
     s.hit_lock_acquisitions += shard->hit_lock_acquisitions;
     s.lock_wait_ns += shard->lock_wait_ns;
-    s.promotions += shard->promotions;
+    s.promotions += shard->cache.second_chances();
   }
   s.lockfree_hits = lockfree_hits_.v.load(std::memory_order_relaxed);
   s.read_retries = read_retries_.v.load(std::memory_order_relaxed);
@@ -606,9 +587,6 @@ void QueryEngine::clear_cache() {
     shard->lock_acquisitions = 0;
     shard->hit_lock_acquisitions = 0;
     shard->lock_wait_ns = 0;
-    shard->promotions = 0;
-    // Forget pending promotions: their keys are gone.
-    shard->promo_drained = shard->promos.pos.load(std::memory_order_acquire);
   }
   lockfree_hits_.v.store(0, std::memory_order_relaxed);
   read_retries_.v.store(0, std::memory_order_relaxed);
@@ -656,12 +634,9 @@ SnapshotSaveResult QueryEngine::save_snapshot_range(std::ostream& os,
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    // Fold pending approximate promotions in first so the persisted
-    // LRU-to-MRU order reflects the latest hits.
-    drain_promotions(shard);
     const std::size_t before = records.size();
     records.reserve(records.size() + shard.cache.size());
-    shard.cache.for_each_lru(
+    shard.cache.for_each_in_hand_order(
         [&](const CanonicalKey& key, const QueryResult& result) {
           const std::uint64_t h = hash_key(key);
           if (h >= hash_lo && h <= hash_hi) {
@@ -705,8 +680,8 @@ SnapshotLoadResult QueryEngine::load_snapshot_stream(std::istream& is) {
   // Re-shard by key hash (the snapshot may come from an engine with a
   // different shard count), bucketing first so each shard locks once.
   // Within a destination shard, file order is preserved — each saved
-  // shard's LRU-to-MRU ordering survives, so an at-capacity refill keeps
-  // the most recently used entries.
+  // shard's hand order (next victim first) survives, so an at-capacity
+  // refill drops the saver's next victims.
   std::vector<std::vector<std::uint32_t>> buckets(shards_.size());
   std::vector<std::uint64_t> hashes(parsed.records.size());
   for (std::size_t i = 0; i < parsed.records.size(); ++i) {
@@ -720,7 +695,7 @@ SnapshotLoadResult QueryEngine::load_snapshot_stream(std::istream& is) {
     for (const std::uint32_t i : buckets[s]) {
       const SnapshotRecord& r = parsed.records[i];
       QueryResult resident;
-      if (!shard.cache.find_const(r.key, hashes[i], resident)) {
+      if (!shard.cache.find(r.key, hashes[i], resident)) {
         shard.cache.insert(r.key, hashes[i], r.result);
         ++out.records_loaded;
       }

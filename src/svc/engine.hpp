@@ -7,15 +7,13 @@
 //      canonicalize_block()), packing each into a 128-bit CanonicalKey;
 //   2. a lock-free hit sweep over the same blocks: every query probes its
 //      shard's seqlock read view (ShardCache::probe_read_only) and a hit
-//      copies the cached bytes without touching any mutex — promotion to
-//      most-recently-used is approximate, batched through a per-shard
-//      lossy ring that is replayed the next time a writer holds the lock;
+//      copies the cached bytes without touching any mutex, setting the
+//      entry's CLOCK reference byte only if it was clear;
 //   3. a per-shard miss-fill pass over the sweep's leftovers: one task
-//      per shard takes the shard mutex once, replays pending promotions,
-//      re-probes (a racing batch may have filled the key), and computes
-//      genuine misses against precomputed model state (ProcessorProfile,
-//      device cost tables, resident latency walkers) — the per-query hot
-//      path touches no heap.
+//      per shard takes the shard mutex once, re-probes (a racing batch may
+//      have filled the key), and computes genuine misses against
+//      precomputed model state (ProcessorProfile, device cost tables,
+//      resident latency walkers) — the per-query hot path touches no heap.
 //
 // A batch that hits everywhere therefore acquires zero shard mutexes;
 // stats() exposes the lock/wait/retry telemetry that proves it.
@@ -36,7 +34,6 @@
 // per frame, byte-identical to per-frame evaluation.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -51,7 +48,7 @@
 #include "perf/processor_profile.hpp"
 #include "perf/signature.hpp"
 #include "sim/thread_pool.hpp"
-#include "svc/lru_cache.hpp"
+#include "svc/shard_cache.hpp"
 #include "svc/query.hpp"
 #include "svc/snapshot.hpp"
 
@@ -94,7 +91,7 @@ struct EngineStats {
   std::uint64_t hit_lock_acquisitions = 0;  ///< acquisitions that resolved
                                             ///< only hits (no computes)
   std::uint64_t lock_wait_ns = 0;   ///< time spent blocked on shard mutexes
-  std::uint64_t promotions = 0;     ///< batched promote-on-hit replays applied
+  std::uint64_t promotions = 0;     ///< second chances the CLOCK hands granted
   double hit_rate() const {
     return queries ? static_cast<double>(cache_hits) / static_cast<double>(queries)
                    : 0.0;
@@ -154,8 +151,8 @@ class QueryEngine {
   /// trusts bytes on disk, and a stale or corrupt snapshot leaves the
   /// engine cold rather than serving wrong numbers.  Records re-shard by
   /// key hash, so shard-count and cache-capacity differences from the
-  /// saving engine are fine (at capacity the least-recent records of the
-  /// snapshot are dropped).  Loaded entries are not counted as hits or
+  /// saving engine are fine (at capacity the records the saver would have
+  /// evicted next are dropped).  Loaded entries are not counted as hits or
   /// misses.  Thread-safe against concurrent evaluate() and against other
   /// engines loading the same file.
   SnapshotLoadResult load_snapshot(const std::string& path);
@@ -175,37 +172,15 @@ class QueryEngine {
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
  private:
-  /// Lossy multi-producer ring of recently hit keys, the approximate
-  /// promote-on-hit channel: lock-free readers record hits here instead of
-  /// splicing the LRU list, and the next writer that already holds the
-  /// shard mutex replays them as promotions.  Overwrites under pressure
-  /// (recency is a heuristic, never a correctness input) and a torn
-  /// hi/lo pair simply fails the replay probe and is skipped.
-  struct PromoRing {
-    static constexpr std::size_t kEntries = 256;  // power of two
-    std::atomic<std::uint64_t> pos{0};
-    std::array<std::atomic<std::uint64_t>, kEntries> hi{};
-    std::array<std::atomic<std::uint64_t>, kEntries> lo{};
-    void record(const CanonicalKey& key) {
-      const std::uint64_t p =
-          pos.fetch_add(1, std::memory_order_relaxed) & (kEntries - 1);
-      hi[p].store(key.hi, std::memory_order_relaxed);
-      lo[p].store(key.lo, std::memory_order_relaxed);
-    }
-  };
-
   struct Shard {
     std::mutex mutex;
     ShardCache cache;
-    PromoRing promos;
     // All counters below are guarded by `mutex`.
     std::uint64_t hits = 0;    // locked-path (miss-pass re-probe) hits
     std::uint64_t misses = 0;
     std::uint64_t lock_acquisitions = 0;
     std::uint64_t hit_lock_acquisitions = 0;
     std::uint64_t lock_wait_ns = 0;
-    std::uint64_t promotions = 0;
-    std::uint64_t promo_drained = 0;  // ring position of the last replay
     explicit Shard(std::size_t capacity) : cache(capacity) {}
   };
 
@@ -215,10 +190,6 @@ class QueryEngine {
   /// lane loops the vectorizer can chew on.
   void canonicalize_block(std::span<const Query> queries, std::size_t lo,
                           std::size_t hi, BatchResults& out) const;
-
-  /// Replay the shard's pending promote-on-hit ring (caller holds the
-  /// shard mutex); returns the number of promotions applied.
-  static std::uint64_t drain_promotions(Shard& shard);
 
   /// Evaluate one canonical query against the models.  Pure and reentrant.
   QueryResult compute(const Query& canonical) const;

@@ -16,8 +16,8 @@
 //       32     8  total record count
 //       40     -  payload: u64 per-shard record counts, then the records
 //                 (key.hi, key.lo, value, secondary, flags, reserved —
-//                 40 bytes each), each shard's entries ordered least- to
-//                 most-recently used
+//                 40 bytes each), each shard's entries in CLOCK hand
+//                 order, next victim first
 //
 // Trust model: bytes on disk are never trusted.  read_snapshot() validates
 // magic -> version -> endianness -> calibration hash -> CRC (then count
@@ -75,7 +75,8 @@ static_assert(sizeof(SnapshotRecord) == 40, "on-disk record layout");
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t crc = 0);
 
 /// Serialize a snapshot.  `shard_counts` must sum to `records.size()`,
-/// with each shard's records contiguous and in LRU-to-MRU order.
+/// with each shard's records contiguous and in hand order (next victim
+/// first).
 void write_snapshot(std::ostream& os, std::uint64_t calibration_hash,
                     std::span<const std::uint64_t> shard_counts,
                     std::span<const SnapshotRecord> records);

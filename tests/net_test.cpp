@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -736,9 +737,15 @@ TEST(CoalesceTest, LoneAndPipelinedFramesFlushWithoutLingerStall) {
   for (const std::uint64_t id : {911ull, 912ull, 913ull}) {
     ASSERT_TRUE(client.send_raw(encode_frame(batch_header(id), payload)));
   }
-  for (const std::uint64_t id : {911ull, 912ull, 913ull}) {
-    std::optional<Frame> response = client.read_response(id);
-    ASSERT_TRUE(response.has_value()) << id;
+  // Two workers may answer the burst out of order (PROTOCOL.md: responses
+  // are matched by request_id), and read_response() drops frames for other
+  // ids, so take the three responses as they arrive.
+  std::set<std::uint64_t> pending = {911, 912, 913};
+  while (!pending.empty()) {
+    std::optional<Frame> response = client.read_frame();
+    ASSERT_TRUE(response.has_value());
+    const std::uint64_t id = response->header.request_id;
+    ASSERT_EQ(pending.erase(id), 1u) << "unexpected response " << id;
     ASSERT_EQ(response->header.type, FrameType::kBatchResponse) << id;
     const auto decoded = decode_batch_response(response->payload);
     ASSERT_TRUE(decoded.has_value());

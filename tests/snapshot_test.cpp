@@ -12,6 +12,9 @@
 //     an independent implementation of the documented v1 layout; if this
 //     test breaks, the format changed and kSnapshotVersion must be
 //     bumped deliberately;
+//   * record order — each shard's records go out in CLOCK hand order,
+//     next victim first, so an at-capacity save -> load -> save is
+//     byte-identical and a smaller cache keeps the file's last records;
 //   * engine-level fallback — every corruption class leaves a loading
 //     engine cold (still byte-identical to serial) and is counted under
 //     svc.snapshot.rejected[.<reason>];
@@ -483,6 +486,55 @@ TEST(SnapshotEngineTest, SnapshotWarmsAnEngineWithDifferentShardCount) {
   fresh.evaluate(batch, replay);
   EXPECT_TRUE(replay.bitwise_equal(ref)) << "seed " << seed;
   EXPECT_EQ(fresh.stats().cache_misses, 0u) << "seed " << seed;
+}
+
+TEST(SnapshotEngineTest, AtCapacityRecordOrderSurvivesAReload) {
+  // The v1 format has no recency field; the order of each shard's records
+  // carries it.  Records go out next victim first, so reloading into the
+  // same shape puts the hand back in front of the same victims, and a
+  // smaller cache keeps the records that come last in the file.
+  EngineConfig config;
+  config.shards = 1;
+  config.cache_capacity_per_shard = 64;
+  QueryEngine engine = make_engine(config);
+  const std::uint32_t seed = test::case_seed(113);
+  const std::vector<Query> batch = random_batch(seed, 2000);
+  BatchResults out;
+  engine.evaluate(batch, out);
+  engine.evaluate(batch, out);  // hits mark entries, misses move the hand
+  ASSERT_GT(engine.stats().evictions, 0u) << "seed " << seed;
+  std::stringstream saved;
+  ASSERT_TRUE(engine.save_snapshot_range(saved).ok());
+  const std::string image = saved.str();
+
+  QueryEngine same = make_engine(config);
+  std::istringstream in(image);
+  ASSERT_TRUE(same.load_snapshot_stream(in).ok());
+  std::stringstream resaved;
+  ASSERT_TRUE(same.save_snapshot_range(resaved).ok());
+  EXPECT_EQ(resaved.str(), image) << "seed " << seed;
+
+  EngineConfig small = config;
+  small.cache_capacity_per_shard = 16;
+  QueryEngine smaller = make_engine(small);
+  std::istringstream in_small(image);
+  ASSERT_TRUE(smaller.load_snapshot_stream(in_small).ok());
+  std::stringstream kept;
+  ASSERT_TRUE(smaller.save_snapshot_range(kept).ok());
+  const std::uint64_t calib = engine.calibration_hash();
+  std::istringstream full_in(image);
+  const SnapshotReadResult full = read_snapshot(full_in, calib);
+  const SnapshotReadResult tail = read_snapshot(kept, calib);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(tail.ok());
+  ASSERT_EQ(full.records.size(), 64u);
+  ASSERT_EQ(tail.records.size(), 16u);
+  for (std::size_t i = 0; i < tail.records.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&tail.records[i], &full.records[48 + i],
+                          sizeof(SnapshotRecord)),
+              0)
+        << "record " << i << ", seed " << seed;
+  }
 }
 
 TEST(SnapshotEngineTest, EmptyEngineRoundTripsZeroRecords) {

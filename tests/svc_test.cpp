@@ -1,9 +1,9 @@
-// Tests for the batch prediction service: the ShardCache's LRU and
-// backward-shift deletion, query canonicalization and cache keying, and
-// the QueryEngine's determinism contract — sharded + cached evaluate()
-// must be byte-identical to the naive serial loop, on randomized batches,
-// under eviction pressure, and under concurrent batches from several
-// threads sharing one engine and pool.
+// Tests for the batch prediction service: the ShardCache's CLOCK
+// replacement and backward-shift deletion, query canonicalization and
+// cache keying, and the QueryEngine's determinism contract — sharded +
+// cached evaluate() must be byte-identical to the naive serial loop, on
+// randomized batches, under eviction pressure, and under concurrent
+// batches from several threads sharing one engine and pool.
 //
 // Randomized cases seed from the logged, MAIA_TEST_SEED-overridable base
 // seed (tests/test_seed.hpp), so any failure reproduces exactly.
@@ -20,7 +20,7 @@
 #include "perf/signature.hpp"
 #include "sim/thread_pool.hpp"
 #include "svc/engine.hpp"
-#include "svc/lru_cache.hpp"
+#include "svc/shard_cache.hpp"
 #include "svc/query.hpp"
 #include "test_seed.hpp"
 
@@ -37,10 +37,12 @@ QueryResult result(double v) {
   return r;
 }
 
-/// find() with the result discarded: membership plus the LRU promotion.
-bool touch_find(ShardCache& cache, const CanonicalKey& k, std::uint64_t hash) {
+/// A lock-free probe with the result discarded: membership, and a hit
+/// marks the entry referenced.
+bool touch(const ShardCache& cache, const CanonicalKey& k, std::uint64_t hash) {
   QueryResult out;
-  return cache.find(k, hash, out);
+  return cache.probe_read_only(k, hash, out).status ==
+         ShardCache::ProbeStatus::kHit;
 }
 
 TEST(ShardCacheTest, FindsInsertedEntries) {
@@ -59,19 +61,34 @@ TEST(ShardCacheTest, FindsInsertedEntries) {
   EXPECT_EQ(cache.evictions(), 0u);
 }
 
-TEST(ShardCacheTest, EvictsLeastRecentlyUsed) {
+TEST(ShardCacheTest, LockFreeHitEarnsASecondChance) {
   ShardCache cache(4);
   for (std::uint64_t i = 0; i < 4; ++i) {
     cache.insert(key(i), hash_key(key(i)), result(static_cast<double>(i)));
   }
-  // Touch key 0 so key 1 becomes the LRU entry.
-  ASSERT_TRUE(touch_find(cache, key(0), hash_key(key(0))));
+  // A lock-free hit marks key 0, so the hand clears its mark, passes it,
+  // and evicts key 1 instead.
+  ASSERT_TRUE(touch(cache, key(0), hash_key(key(0))));
   cache.insert(key(4), hash_key(key(4)), result(4.0));
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(touch_find(cache, key(1), hash_key(key(1))));  // evicted
-  EXPECT_TRUE(touch_find(cache, key(0), hash_key(key(0))));   // saved by touch
-  EXPECT_TRUE(touch_find(cache, key(4), hash_key(key(4))));
+  EXPECT_EQ(cache.second_chances(), 1u);
+  QueryResult r;
+  EXPECT_FALSE(cache.find(key(1), hash_key(key(1)), r));  // evicted
+  EXPECT_TRUE(cache.find(key(0), hash_key(key(0)), r));   // spared by the hit
+  EXPECT_TRUE(cache.find(key(4), hash_key(key(4)), r));
+  // The hand now points at key 2; the snapshot drain's walk starts there.
+  std::vector<std::uint64_t> order;
+  cache.for_each_in_hand_order(
+      [&](const CanonicalKey& k, const QueryResult&) { order.push_back(k.hi); });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 3, 0, 4}));
+  // The chance is spent: with no new hit, key 0 goes when the hand comes
+  // round again, after keys 2 and 3.
+  for (std::uint64_t i = 5; i < 8; ++i) {
+    cache.insert(key(i), hash_key(key(i)), result(static_cast<double>(i)));
+  }
+  EXPECT_FALSE(cache.find(key(0), hash_key(key(0)), r));
+  EXPECT_EQ(cache.second_chances(), 1u);
 }
 
 TEST(ShardCacheTest, EvictionStreamKeepsOnlyTheLastCapacityKeys) {
@@ -105,13 +122,13 @@ TEST(ShardCacheTest, BackwardShiftKeepsCollidingChainsReachable) {
     cache.insert(key(i), kHash, result(static_cast<double>(i)));
   }
   // Touch 0 and 2; inserting two more evicts 1 then 3.
-  ASSERT_TRUE(touch_find(cache, key(0), kHash));
-  ASSERT_TRUE(touch_find(cache, key(2), kHash));
+  ASSERT_TRUE(touch(cache, key(0), kHash));
+  ASSERT_TRUE(touch(cache, key(2), kHash));
   cache.insert(key(4), kHash, result(4.0));
   cache.insert(key(5), kHash, result(5.0));
   EXPECT_EQ(cache.evictions(), 2u);
-  EXPECT_FALSE(touch_find(cache, key(1), kHash));
-  EXPECT_FALSE(touch_find(cache, key(3), kHash));
+  EXPECT_FALSE(touch(cache, key(1), kHash));
+  EXPECT_FALSE(touch(cache, key(3), kHash));
   for (const std::uint64_t i : {0ull, 2ull, 4ull, 5ull}) {
     QueryResult r;
     ASSERT_TRUE(cache.find(key(i), kHash, r))
@@ -129,9 +146,9 @@ TEST(ShardCacheTest, ClearResetsSizeAndEvictions) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_FALSE(touch_find(cache, key(4), hash_key(key(4))));
+  EXPECT_FALSE(touch(cache, key(4), hash_key(key(4))));
   cache.insert(key(7), hash_key(key(7)), result(7.0));
-  EXPECT_TRUE(touch_find(cache, key(7), hash_key(key(7))));
+  EXPECT_TRUE(touch(cache, key(7), hash_key(key(7))));
 }
 
 TEST(ShardCacheTest, ProbeReadOnlyHitsAndMisses) {
@@ -153,36 +170,52 @@ TEST(ShardCacheTest, ProbeReadOnlyHitsAndMisses) {
             ShardCache::ProbeStatus::kMiss);
 }
 
-TEST(ShardCacheTest, ConstProbesDoNotPromote) {
-  // find_const and probe_read_only must leave the recency order alone:
-  // probing key 0 through both does not save it from eviction, while a
-  // real find() (the locked, promoting probe) does save key 1.
+TEST(ShardCacheTest, LockedFindGrantsNoSecondChance) {
+  // The locked find() (the miss fill's re-probe, the snapshot refill's
+  // membership check) leaves the reference byte alone: finding key 0 does
+  // not save it, while a lock-free hit on key 1 does.
   ShardCache cache(4);
   for (std::uint64_t i = 0; i < 4; ++i) {
     cache.insert(key(i), hash_key(key(i)), result(static_cast<double>(i)));
   }
   QueryResult r;
-  ASSERT_TRUE(cache.find_const(key(0), hash_key(key(0)), r));
-  ASSERT_EQ(cache.probe_read_only(key(0), hash_key(key(0)), r).status,
-            ShardCache::ProbeStatus::kHit);
-  ASSERT_TRUE(cache.find(key(1), hash_key(key(1)), r));
-  cache.insert(key(4), hash_key(key(4)), result(4.0));  // evicts 0, not 1
-  EXPECT_FALSE(cache.find_const(key(0), hash_key(key(0)), r));
-  EXPECT_TRUE(cache.find_const(key(1), hash_key(key(1)), r));
+  ASSERT_TRUE(cache.find(key(0), hash_key(key(0)), r));
+  ASSERT_TRUE(touch(cache, key(1), hash_key(key(1))));
+  cache.insert(key(4), hash_key(key(4)), result(4.0));  // evicts 0
+  cache.insert(key(5), hash_key(key(5)), result(5.0));  // passes 1, evicts 2
+  EXPECT_FALSE(cache.find(key(0), hash_key(key(0)), r));
+  EXPECT_TRUE(cache.find(key(1), hash_key(key(1)), r));
+  EXPECT_FALSE(cache.find(key(2), hash_key(key(2)), r));
+  EXPECT_EQ(cache.second_chances(), 1u);
 }
 
-TEST(ShardCacheTest, PromoteReordersAndReportsEvictedKeys) {
-  ShardCache cache(4);
-  for (std::uint64_t i = 0; i < 4; ++i) {
+// Scan resistance: at capacity, a stream of one-shot keys (inserted once,
+// never probed again) must not push out a hot set that is probed between
+// inserts.  One-shot keys enter unmarked, so the hand always evicts one of
+// them before it comes round again to a hot key the probes have re-marked.
+TEST(ShardCacheTest, OneShotStreamDoesNotEvictAProbedHotSet) {
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::uint64_t kHot = 16;  // keys 0..15; the rest are one-shot
+  constexpr std::uint64_t kStream = 100 * kCapacity;
+  ShardCache cache(kCapacity);
+  for (std::uint64_t i = 0; i < kCapacity; ++i) {
     cache.insert(key(i), hash_key(key(i)), result(static_cast<double>(i)));
   }
-  EXPECT_TRUE(cache.promote(key(0), hash_key(key(0))));
-  EXPECT_FALSE(cache.promote(key(42), hash_key(key(42))));  // never inserted
-  cache.insert(key(4), hash_key(key(4)), result(4.0));      // evicts 1
-  QueryResult r;
-  EXPECT_TRUE(cache.find_const(key(0), hash_key(key(0)), r));
-  EXPECT_FALSE(cache.find_const(key(1), hash_key(key(1)), r));
-  EXPECT_FALSE(cache.promote(key(1), hash_key(key(1))));  // evicted: lost
+  for (std::uint64_t n = 0; n <= kStream; ++n) {
+    for (std::uint64_t h = 0; h < kHot; ++h) {
+      QueryResult r;
+      ASSERT_EQ(cache.probe_read_only(key(h), hash_key(key(h)), r).status,
+                ShardCache::ProbeStatus::kHit)
+          << "hot key " << h << " evicted after " << n << " one-shot keys";
+      ASSERT_EQ(r.value, static_cast<double>(h));
+    }
+    if (n == kStream) break;
+    const std::uint64_t i = kCapacity + n;  // never seen before
+    cache.insert(key(i), hash_key(key(i)), result(static_cast<double>(i)));
+  }
+  EXPECT_EQ(cache.size(), kCapacity);
+  EXPECT_EQ(cache.evictions(), kStream);
+  EXPECT_GT(cache.second_chances(), 0u);
 }
 
 TEST(ShardCacheTest, EpochOverflowWrapsSafely) {
@@ -208,8 +241,9 @@ TEST(ShardCacheTest, EpochOverflowWrapsSafely) {
 // probing lock-free while a writer churns evictions at capacity never see
 // a torn value.  Every cached result here is a pure function of its key,
 // so any hit whose bytes disagree with f(key) is a consistency violation.
-// Run under TSan (the CI sanitizer job) this also proves the probe path
-// is race-free in the C++ memory model sense.
+// Run under TSan (the CI TSan job) this also proves the probe path
+// is race-free in the C++ memory model sense, including the reference
+// bytes readers set while the writer's hand clears them.
 TEST(ShardCacheTest, SeqlockReadersNeverObserveTornValuesUnderChurn) {
   constexpr std::size_t kCapacity = 64;
   constexpr std::uint64_t kKeySpace = 256;  // 4x capacity: constant eviction
@@ -249,8 +283,7 @@ TEST(ShardCacheTest, SeqlockReadersNeverObserveTornValuesUnderChurn) {
   std::thread writer([&] {
     std::mt19937_64 rng(test::case_seed(31));
     // Single writer: the external shard mutex is trivially held.
-    for (std::uint64_t round = 0; !stop.load(std::memory_order_relaxed);
-         ++round) {
+    while (!stop.load(std::memory_order_relaxed)) {
       const std::uint64_t i = rng() % kKeySpace;
       QueryResult r;
       QueryResult entry;
@@ -260,7 +293,6 @@ TEST(ShardCacheTest, SeqlockReadersNeverObserveTornValuesUnderChurn) {
       if (!cache.find(key(i), hash_key(key(i)), r)) {
         cache.insert(key(i), hash_key(key(i)), entry);
       }
-      if ((round & 0x3ff) == 0) cache.promote(key(i), hash_key(key(i)));
     }
   });
 
