@@ -68,9 +68,8 @@ void print_help(const char* argv0, std::FILE* out) {
       "  --connections N       concurrent client connections (default: 4)\n"
       "  --batch N             queries per request frame (default: 4096)\n"
       "  --frame-size N        small-frame load-gen mode: same as --batch N\n"
-      "                        but tagged as a frame-size point (the\n"
-      "                        coalescing sweep drives N in {16..4096});\n"
-      "                        emitted as \"frame_size\" in --json\n"
+      "                        but tagged as a frame-size point; emitted\n"
+      "                        as \"frame_size\" in --json\n"
       "  --smoke               sample the thread axis 1-in-10 (~10^5\n"
       "                        queries instead of ~10^6)\n"
       "  --kernels K           restrict the slice to the first K NPB\n"

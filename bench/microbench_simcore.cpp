@@ -13,8 +13,6 @@
 #include "memsim/latency_walker.hpp"
 #include "mpi/collectives.hpp"
 #include "net/bufpool.hpp"
-#include "net/coalesce.hpp"
-#include "net/protocol.hpp"
 #include "npb/ep.hpp"
 #include "npb/ft.hpp"
 #include "npb/mg.hpp"
@@ -381,7 +379,7 @@ void BM_ShardCacheContended(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardCacheContended)->ThreadRange(1, 4)->UseRealTime();
 
-// ----------------------------------------------- continuous batching ---
+// --------------------------------------------------- response buffers ---
 
 // One acquire/release cycle through the response-buffer pool at a typical
 // framed-response size.  After the first lap every acquire must recycle
@@ -404,37 +402,6 @@ void BM_BufPool(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BufPool)->Arg(1568)->Arg(65576);
-
-// The server's coalesce round-trip minus the engine: stitch K small
-// frames into one mega-batch (CoalesceBuilder), then scatter the result
-// slices back out as in-place-encoded response frames in pooled buffers.
-// This is the per-mega-batch overhead continuous batching adds on top of
-// one evaluate() call — it must stay far below the per-frame costs it
-// replaces (K wakeups + K evaluations).
-void BM_CoalesceScatter(benchmark::State& state) {
-  const std::size_t frames = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kFrameQueries = 64;
-  const std::vector<svc::Query> frame_queries = microbench_batch(kFrameQueries);
-  net::BufPool pool;
-  net::CoalesceBuilder builder;
-  svc::BatchResults results;
-  results.resize(frames * kFrameQueries);
-  for (auto _ : state) {
-    builder.clear();
-    for (std::size_t f = 0; f < frames; ++f) builder.add(frame_queries);
-    for (std::size_t f = 0; f < frames; ++f) {
-      const net::CoalesceBuilder::Slice slice = builder.slice(f);
-      const svc::ResultSlice r = results.slice(slice.offset, slice.count);
-      net::PooledBuf buf =
-          pool.acquire(net::batch_response_frame_bytes(slice.count));
-      net::encode_batch_response_frame(static_cast<std::uint64_t>(f), r.values,
-                                       r.secondary, r.flags, buf.bytes());
-      benchmark::DoNotOptimize(buf.data());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * frames * kFrameQueries);
-}
-BENCHMARK(BM_CoalesceScatter)->Arg(4)->Arg(64);
 
 void BM_Fft3d(benchmark::State& state) {
   npb::Field3 f = npb::make_ft_initial(16);

@@ -3,8 +3,8 @@
 // puts a fleet on a network) to any client that can speak length-prefixed
 // frames — including the dependency-free examples/client.py.
 //
-//   maia_serve --socket PATH [--workers N] [--eval-jobs N] [--queue-depth N]
-//              [--cache N] [--shards N] [--shard I/N] [--snapshot-in P]
+//   maia_serve --socket PATH [--workers N] [--queue-depth N] [--cache N]
+//              [--shards N] [--shard I/N] [--snapshot-in P]
 //              [--snapshot-out P] [--metrics PATH] [--drain-timeout-ms T]
 //
 // The server registers the eight NPB Class-C kernels (same ids as
@@ -24,7 +24,6 @@
 #include "arch/registry.hpp"
 #include "net/server.hpp"
 #include "obs/obs.hpp"
-#include "sim/thread_pool.hpp"
 #include "svc/engine.hpp"
 #include "sweep_grid.hpp"
 
@@ -53,18 +52,8 @@ void print_help(const char* argv0, std::FILE* out) {
       "                       reclaimed, a live one refuses startup\n"
       "  --listen ADDR        alias for --socket\n"
       "  --workers N          evaluation worker threads (default: 2)\n"
-      "  --eval-jobs N        share one N-thread pool for intra-batch\n"
-      "                       parallelism (default: off, batches run\n"
-      "                       serial inside their worker)\n"
       "  --queue-depth N      admission queue bound; a full queue answers\n"
       "                       RETRY_LATER (default: 64)\n"
-      "  --coalesce N         continuous batching: stitch queued frames\n"
-      "                       into mega-batches of up to N queries\n"
-      "                       (default: 65536; 0 disables)\n"
-      "  --coalesce-linger-us T  max-linger deadline topping up a\n"
-      "                       below-target mega-batch (default: 200)\n"
-      "  --no-coalesce        shorthand for --coalesce 0 (evaluate one\n"
-      "                       frame per batch, the pre-coalescing path)\n"
       "  --cache N            cache entries per engine shard (default: 32768)\n"
       "  --shards N           engine shard count (default: auto)\n"
       "  --shard I/N          serve only consistent-hash range I of N and\n"
@@ -88,7 +77,6 @@ int main(int argc, char** argv) {
   server_config.socket_path = "maia.sock";
   server_config.workers = 2;
   svc::EngineConfig engine_config;
-  int eval_jobs = 0;
   std::string snapshot_in;
   std::string metrics_path;
 
@@ -106,19 +94,9 @@ int main(int argc, char** argv) {
       server_config.socket_path = need_value("--listen");
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       server_config.workers = std::atoi(need_value("--workers"));
-    } else if (std::strcmp(argv[i], "--eval-jobs") == 0) {
-      eval_jobs = std::atoi(need_value("--eval-jobs"));
     } else if (std::strcmp(argv[i], "--queue-depth") == 0) {
       server_config.admission_depth =
           static_cast<std::size_t>(std::atol(need_value("--queue-depth")));
-    } else if (std::strcmp(argv[i], "--coalesce") == 0) {
-      server_config.coalesce_max_queries =
-          static_cast<std::size_t>(std::atol(need_value("--coalesce")));
-    } else if (std::strcmp(argv[i], "--coalesce-linger-us") == 0) {
-      server_config.coalesce_linger_us = static_cast<std::uint32_t>(
-          std::atol(need_value("--coalesce-linger-us")));
-    } else if (std::strcmp(argv[i], "--no-coalesce") == 0) {
-      server_config.coalesce_max_queries = 0;
     } else if (std::strcmp(argv[i], "--cache") == 0) {
       engine_config.cache_capacity_per_shard =
           static_cast<std::size_t>(std::atol(need_value("--cache")));
@@ -175,12 +153,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::unique_ptr<sim::ThreadPool> eval_pool;
-  if (eval_jobs > 0) {
-    eval_pool = std::make_unique<sim::ThreadPool>(eval_jobs);
-    server_config.eval_pool = eval_pool.get();
-  }
-
   server_config.log_accepts = true;
   net::Server server(engine, server_config);
   std::string error;
@@ -191,13 +163,6 @@ int main(int argc, char** argv) {
   std::printf("maia_serve: listening on %s (%d workers, queue depth %zu)\n",
               server_config.socket_path.c_str(), server_config.workers,
               server_config.admission_depth);
-  if (server_config.coalesce_max_queries > 0) {
-    std::printf("maia_serve: coalescing up to %zu queries, %u us linger\n",
-                server_config.coalesce_max_queries,
-                server_config.coalesce_linger_us);
-  } else {
-    std::printf("maia_serve: coalescing disabled\n");
-  }
   if (server_config.shard_count > 0) {
     std::printf("maia_serve: serving shard %d/%d only\n",
                 server_config.shard_index, server_config.shard_count);
@@ -237,13 +202,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(engine_stats.cache_hits),
       static_cast<unsigned long long>(engine_stats.cache_misses),
       100.0 * engine_stats.hit_rate());
-  std::printf(
-      "  coalescing: %llu mega-batches stitched %llu frames; "
-      "bufpool %llu allocs, %llu reuses\n",
-      static_cast<unsigned long long>(stats.coalesced_batches),
-      static_cast<unsigned long long>(stats.coalesced_frames),
-      static_cast<unsigned long long>(stats.bufpool_allocations),
-      static_cast<unsigned long long>(stats.bufpool_reuses));
+  std::printf("  bufpool: %llu allocs, %llu reuses\n",
+              static_cast<unsigned long long>(stats.bufpool_allocations),
+              static_cast<unsigned long long>(stats.bufpool_reuses));
   if (!server_config.snapshot_out.empty()) {
     std::printf("  snapshot: %llu records -> %s\n",
                 static_cast<unsigned long long>(stats.snapshot_records),

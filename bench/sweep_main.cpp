@@ -14,7 +14,7 @@
 //
 //   maia_sweep [--smoke] [--jobs N] [--shards N] [--cache N] [--json PATH]
 //              [--metrics PATH] [--guard METRIC:MIN] [--threads-sweep LIST]
-//              [--backends-sweep LIST] [--coalesce-sweep LIST]
+//              [--backends-sweep LIST]
 //              [--snapshot-in PATH] [--snapshot-out PATH]
 //
 // --snapshot-in warms the engine from a persisted cache snapshot before
@@ -37,21 +37,10 @@
 // qps-vs-backends scaling curve (guarded in CI via backends_scaling, like
 // threads_scaling).
 //
-// --coalesce-sweep 16,64,256,4096 measures the server's continuous
-// batching under small frames: per listed frame size N it launches one
-// warm in-process streaming server twice — coalescing off (per-frame
-// evaluation, synchronous round-trip clients) then on (mega-batch
-// stitching, streaming clients with a window of frames in flight) — and
-// drives the grid as N-query frames.  Every response is verified
-// byte-identical to the serial reference; the on/off qps ratio at the
-// smallest swept frame is the coalesce_small_frame_speedup guard.
-//
 // Exit status: 0 iff the sharded results are byte-identical to the serial
 // loop and every --guard floor holds.
 #include <unistd.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -61,7 +50,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "arch/registry.hpp"
@@ -113,10 +101,7 @@ void print_help(const char* argv0, std::FILE* out) {
       "                    point's qps; needs --threads-sweep),\n"
       "                    backends_scaling (best multi-backend routed qps\n"
       "                    over the first backends-sweep point's; needs\n"
-      "                    --backends-sweep), coalesce_small_frame_speedup\n"
-      "                    (coalescing-on qps over coalescing-off qps at\n"
-      "                    the smallest swept frame size; needs\n"
-      "                    --coalesce-sweep), or\n"
+      "                    --backends-sweep), or\n"
       "                    zero_hit_locks (1 iff the warm sweep acquired no\n"
       "                    shard mutex, else 0); repeatable\n"
       "  --threads-sweep L re-run the warmed grid once per worker count in\n"
@@ -126,10 +111,6 @@ void print_help(const char* argv0, std::FILE* out) {
       "                    router over B in-process streaming servers, once\n"
       "                    per B in the comma-separated list L (e.g. 1,2),\n"
       "                    and record the qps-vs-backends scaling curve\n"
-      "  --coalesce-sweep L  drive a warm in-process streaming server with\n"
-      "                    N-query frames per N in the comma-separated list\n"
-      "                    L (e.g. 16,64,256,4096), coalescing off then on,\n"
-      "                    and record the small-frame qps for both modes\n"
       "  --snapshot-in P   warm the caches from snapshot P before the\n"
       "                    sharded run (invalid/stale snapshots fall back\n"
       "                    to a cold start)\n"
@@ -156,7 +137,6 @@ int main(int argc, char** argv) {
   std::string snapshot_out;
   std::vector<int> threads_sweep;
   std::vector<int> backends_sweep;
-  std::vector<int> coalesce_sweep;
   struct Guard {
     std::string metric;
     double min;
@@ -231,25 +211,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "maia_sweep: --backends-sweep list is empty\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--coalesce-sweep") == 0 && i + 1 < argc) {
-      const char* p = argv[++i];
-      while (*p != '\0') {
-        char* end = nullptr;
-        const long v = std::strtol(p, &end, 10);
-        if (end == p || v < 1 || (*end != '\0' && *end != ',')) {
-          std::fprintf(stderr,
-                       "maia_sweep: --coalesce-sweep expects a comma-separated "
-                       "list of frame sizes >= 1, got '%s'\n",
-                       argv[i]);
-          return 2;
-        }
-        coalesce_sweep.push_back(static_cast<int>(v));
-        p = *end == ',' ? end + 1 : end;
-      }
-      if (coalesce_sweep.empty()) {
-        std::fprintf(stderr, "maia_sweep: --coalesce-sweep list is empty\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--guard") == 0 && i + 1 < argc) {
       const std::string spec = argv[++i];
       const std::size_t colon = spec.rfind(':');
@@ -263,14 +224,12 @@ int main(int argc, char** argv) {
                          metric == "hit_rate" || metric == "snapshot_hit_rate" ||
                          metric == "threads_scaling" ||
                          metric == "backends_scaling" ||
-                         metric == "coalesce_small_frame_speedup" ||
                          metric == "zero_hit_locks";
       if (!known || min <= 0.0 || (end != nullptr && *end != '\0')) {
         std::fprintf(stderr,
                      "maia_sweep: --guard expects qps:MIN, speedup:MIN, "
                      "hit_rate:MIN, snapshot_hit_rate:MIN, "
-                     "threads_scaling:MIN, backends_scaling:MIN, "
-                     "coalesce_small_frame_speedup:MIN or "
+                     "threads_scaling:MIN, backends_scaling:MIN or "
                      "zero_hit_locks:MIN, got '%s'\n",
                      spec.c_str());
         return 2;
@@ -587,251 +546,6 @@ int main(int argc, char** argv) {
                 backends_scaling);
   }
 
-  // Continuous-batching sweep: per listed frame size N, launch one warm
-  // in-process streaming server twice — coalescing off (one frame per
-  // evaluate, the pre-coalescing path), then on — and drive the grid as
-  // N-query frames over concurrent synchronous connections.  Every wire
-  // result is verified byte-identical to the serial reference, so the
-  // on/off ratio measures pure server-side stitching, not answer drift.
-  struct CoalescePoint {
-    int frame = 0;
-    double qps_off = 0.0;
-    double qps_on = 0.0;
-    double speedup = 0.0;
-  };
-  std::vector<CoalescePoint> coalesce_points;
-  double coalesce_small_frame_speedup = 0.0;
-  if (!coalesce_sweep.empty()) {
-    const std::string warm_image =
-        "maia_csweep." + std::to_string(getpid()) + ".snapshot";
-    const svc::SnapshotSaveResult saved = engine.save_snapshot(warm_image);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "maia_sweep: cannot write %s (%s)\n",
-                   warm_image.c_str(), svc::snapshot_error_name(saved.error));
-      return 1;
-    }
-    // Before/after the continuous-batching data plane, each side in its
-    // best client shape.  "off" is the pre-coalescing path: per-frame
-    // evaluation driven by synchronous round-trip connections (deep
-    // send-ahead pipelining against the per-frame server just trades the
-    // round trips for RETRY_LATER backoff once the in-flight count passes
-    // the admission depth).  "on" is continuous batching driven by
-    // streaming connections that keep a window of frames in flight —
-    // viable precisely because the coalescing worker drains the whole
-    // admission queue every pass.  The admission depth covers the full
-    // streamed window so neither mode sees RETRY_LATER.
-    constexpr int kSyncConnections = 16;      // off: sync round-trippers
-    constexpr int kStreamConnections = 4;     // on: streaming clients
-    constexpr std::size_t kStreamWindow = 128; // frames in flight each
-    constexpr int kCoalesceReps = 3;
-    std::printf("\ncoalesce sweep (off: %d sync connections; on: %d "
-                "connections x %zu-frame window; best of %d reps/mode):\n",
-                kSyncConnections, kStreamConnections, kStreamWindow,
-                kCoalesceReps);
-    std::fflush(stdout);
-
-    const auto run_mode = [&](int frame, bool coalesce,
-                              double* out_qps) -> bool {
-      svc::QueryEngine backend_engine(arch::maia_node(), config);
-      sweepgrid::register_npb_kernels(backend_engine);
-      const svc::SnapshotLoadResult warmed =
-          backend_engine.load_snapshot(warm_image);
-      if (!warmed.ok()) {
-        std::fprintf(stderr, "maia_sweep: coalesce-sweep warm-load REJECTED "
-                     "(%s)\n",
-                     svc::snapshot_error_name(warmed.error));
-        return false;
-      }
-      net::ServerConfig server_config;
-      server_config.socket_path =
-          "maia_csweep." + std::to_string(getpid()) + ".sock";
-      server_config.workers = 1;
-      server_config.admission_depth =
-          static_cast<std::size_t>(kStreamConnections) * kStreamWindow + 64;
-      if (!coalesce) server_config.coalesce_max_queries = 0;
-      const int connections = coalesce ? kStreamConnections : kSyncConnections;
-      net::Server server(backend_engine, server_config);
-      std::string server_error;
-      if (!server.start(&server_error)) {
-        std::fprintf(stderr, "maia_sweep: coalesce-sweep server: %s\n",
-                     server_error.c_str());
-        return false;
-      }
-      const std::size_t frame_sz = static_cast<std::size_t>(frame);
-      const std::size_t chunks = (n + frame_sz - 1) / frame_sz;
-      std::vector<net::WireResult> wire(n);
-      double best_qps = 0.0;
-      bool ok = true;
-      for (int rep = 0; rep < kCoalesceReps && ok; ++rep) {
-        std::atomic<bool> failed{false};
-        const auto t0 = std::chrono::steady_clock::now();
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(connections));
-        for (int c = 0; c < connections; ++c) {
-          threads.emplace_back([&, c] {
-            net::Client client;
-            std::string conn_error;
-            if (!client.connect(server_config.socket_path, &conn_error)) {
-              failed.store(true);
-              return;
-            }
-            // This connection owns chunks c, c+C, c+2C, ...
-            std::vector<std::size_t> mine;
-            for (std::size_t chunk = static_cast<std::size_t>(c);
-                 chunk < chunks;
-                 chunk += static_cast<std::size_t>(connections)) {
-              mine.push_back(chunk);
-            }
-            const auto chunk_span = [&](std::size_t chunk) {
-              const std::size_t lo = chunk * frame_sz;
-              const std::size_t hi = std::min(lo + frame_sz, n);
-              return std::span<const svc::Query>(grid.queries)
-                  .subspan(lo, hi - lo);
-            };
-            if (!coalesce) {
-              // Pre-coalescing shape: one frame per round trip.
-              std::vector<net::WireResult> chunk_results;
-              for (const std::size_t chunk : mine) {
-                const net::ClientOutcome rc = client.evaluate_with_retry(
-                    chunk_span(chunk), chunk_results, /*deadline_ms=*/0,
-                    /*max_retries=*/256, /*backoff_us=*/200, nullptr);
-                if (!rc.ok()) {
-                  failed.store(true);
-                  return;
-                }
-                std::copy(chunk_results.begin(), chunk_results.end(),
-                          wire.begin() +
-                              static_cast<std::ptrdiff_t>(chunk * frame_sz));
-              }
-              return;
-            }
-            // Frames are corked: every window refill encodes the whole
-            // burst back-to-back into one buffer and ships it with a
-            // single write, so the sender pays one syscall per burst
-            // instead of one per frame.
-            std::vector<std::uint8_t> burst_buf, frame_buf;
-            // With several workers the server may answer out of send
-            // order, so responses are matched by request id, not position.
-            std::size_t next_send = 0, received = 0;
-            std::unordered_set<std::size_t> outstanding;
-            while (received < mine.size() && !failed.load()) {
-              burst_buf.clear();
-              while (next_send < mine.size() &&
-                     outstanding.size() < kStreamWindow) {
-                net::encode_batch_request_frame(mine[next_send],
-                                                /*deadline_ms=*/0,
-                                                chunk_span(mine[next_send]),
-                                                frame_buf);
-                burst_buf.insert(burst_buf.end(), frame_buf.begin(),
-                                 frame_buf.end());
-                outstanding.insert(mine[next_send]);
-                ++next_send;
-              }
-              if (!burst_buf.empty() && !client.send_raw(burst_buf)) {
-                failed.store(true);
-                return;
-              }
-              // read_frame(), not read_response(): the latter drops frames
-              // whose id differs from the one awaited, which loses
-              // pipelined responses.
-              const std::optional<net::Frame> response = client.read_frame();
-              if (!response.has_value() ||
-                  response->header.type != net::FrameType::kBatchResponse) {
-                failed.store(true);
-                return;
-              }
-              const std::size_t chunk =
-                  static_cast<std::size_t>(response->header.request_id);
-              if (outstanding.erase(chunk) == 0) {
-                failed.store(true);
-                return;
-              }
-              const auto decoded = net::decode_batch_response(response->payload);
-              const std::size_t lo = chunk * frame_sz;
-              const std::size_t hi = std::min(lo + frame_sz, n);
-              if (!decoded.has_value() || decoded->size() != hi - lo) {
-                failed.store(true);
-                return;
-              }
-              std::copy(decoded->begin(), decoded->end(),
-                        wire.begin() + static_cast<std::ptrdiff_t>(lo));
-              ++received;
-            }
-          });
-        }
-        for (std::thread& t : threads) t.join();
-        const double s = seconds_since(t0);
-        if (failed.load()) {
-          ok = false;
-          break;
-        }
-        const double rep_qps = s > 0.0 ? static_cast<double>(n) / s : 0.0;
-        if (rep_qps > best_qps) best_qps = rep_qps;
-      }
-      const net::ServerStats run_stats = server.stats();
-      server.request_drain();
-      server.wait();
-      if (coalesce && run_stats.coalesced_batches > 0) {
-        std::printf("    frame %5d on: %.1f frames per mega-batch\n", frame,
-                    static_cast<double>(run_stats.coalesced_frames) /
-                        static_cast<double>(run_stats.coalesced_batches));
-        std::fflush(stdout);
-      }
-      if (!ok) {
-        std::fprintf(stderr,
-                     "maia_sweep: coalesce-sweep frame %d (%s) had failed "
-                     "requests\n",
-                     frame, coalesce ? "on" : "off");
-        return false;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (std::memcmp(&wire[i].value, &reference.values()[i], 8) != 0 ||
-            std::memcmp(&wire[i].secondary, &reference.secondary()[i], 8) !=
-                0 ||
-            wire[i].flags != reference.flags()[i]) {
-          std::fprintf(stderr,
-                       "maia_sweep: coalesce-sweep frame %d (%s) DIVERGED at "
-                       "query %zu\n",
-                       frame, coalesce ? "on" : "off", i);
-          return false;
-        }
-      }
-      *out_qps = best_qps;
-      return true;
-    };
-
-    for (const int f : coalesce_sweep) {
-      CoalescePoint point;
-      point.frame = f;
-      if (!run_mode(f, /*coalesce=*/false, &point.qps_off) ||
-          !run_mode(f, /*coalesce=*/true, &point.qps_on)) {
-        std::remove(warm_image.c_str());
-        return 1;
-      }
-      point.speedup = point.qps_off > 0.0 ? point.qps_on / point.qps_off : 0.0;
-      std::printf("  frame %5d: off %10.0f qps, on %10.0f qps  (%.2fx)\n",
-                  point.frame, point.qps_off, point.qps_on, point.speedup);
-      std::fflush(stdout);
-      coalesce_points.push_back(point);
-    }
-    std::remove(warm_image.c_str());
-    // The guard rides the smallest swept frame size — the case where
-    // per-frame overhead dominates and continuous batching matters most.
-    // Larger points shade toward parity by construction (a 4096-query
-    // frame is already its own mega-batch) and are tracked in the JSON
-    // for the record, not guarded.
-    int guard_frame = 0;
-    for (const CoalescePoint& p : coalesce_points) {
-      if (guard_frame == 0 || p.frame < guard_frame) {
-        guard_frame = p.frame;
-        coalesce_small_frame_speedup = p.speedup;
-      }
-    }
-    std::printf("  small-frame speedup (coalescing on / off, %d-query "
-                "frames): %.2fx\n",
-                guard_frame, coalesce_small_frame_speedup);
-  }
-
   const double serial_qps =
       serial_seconds > 0.0 ? static_cast<double>(n) / serial_seconds : 0.0;
   const double qps =
@@ -866,8 +580,6 @@ int main(int argc, char** argv) {
                          : g.metric == "snapshot_hit_rate" ? snapshot_hit_rate
                          : g.metric == "threads_scaling"   ? threads_scaling
                          : g.metric == "backends_scaling"  ? backends_scaling
-                         : g.metric == "coalesce_small_frame_speedup"
-                             ? coalesce_small_frame_speedup
                          : g.metric == "zero_hit_locks"    ? zero_hit_locks
                                                            : stats.hit_rate();
     if (value < g.min) {
@@ -946,18 +658,7 @@ int main(int argc, char** argv) {
            << ", \"retries\": " << p.retries
            << ", \"resprayed\": " << p.resprayed << "}";
     }
-    json << (backend_points.empty() ? "]," : "\n  ],") << "\n"
-         << "  \"coalesce_small_frame_speedup\": "
-         << coalesce_small_frame_speedup << ",\n"
-         << "  \"coalesce_sweep\": [";
-    for (std::size_t i = 0; i < coalesce_points.size(); ++i) {
-      const CoalescePoint& p = coalesce_points[i];
-      json << (i == 0 ? "\n" : ",\n")
-           << "    {\"frame\": " << p.frame << ", \"qps_off\": " << p.qps_off
-           << ", \"qps_on\": " << p.qps_on << ", \"speedup\": " << p.speedup
-           << "}";
-    }
-    json << (coalesce_points.empty() ? "]" : "\n  ]") << "\n}\n";
+    json << (backend_points.empty() ? "]" : "\n  ]") << "\n}\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
 

@@ -38,10 +38,8 @@
 // Data plane: sub-batch request frames are encoded in place into pooled
 // buffers (net/bufpool.hpp) — zero steady-state allocation on the scatter
 // path — and responses are scatter-decoded straight into the output lanes
-// with no intermediate record vector.  When the front server runs with
-// continuous batching, each mega-batch reaches evaluate() as ONE call, so
-// queries from many concurrent client frames ride the same sub-batches:
-// the fan-out tier coalesces for free.
+// with no intermediate record vector.  The front server calls evaluate()
+// once per admitted client frame, with that frame's deadline_ms.
 #pragma once
 
 #include <atomic>

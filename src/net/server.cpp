@@ -14,9 +14,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "net/coalesce.hpp"
 #include "obs/obs.hpp"
-#include "sim/thread_pool.hpp"
 #include "svc/sharding.hpp"
 
 namespace maia::net {
@@ -43,9 +41,6 @@ struct NetMetrics {
   obs::Counter accepted, closed, bytes_read, bytes_written;
   obs::Gauge clients, depth;
   obs::Histogram decode_ns, queue_wait_ns, evaluate_ns, encode_ns, total_ns;
-  // Continuous batching: queries and frames stitched per evaluation, and
-  // how long the first frame of a mega-batch waited for its co-riders.
-  obs::Histogram coalesce_batch_size, coalesce_requests, coalesce_linger_ns;
   static const NetMetrics& get() {
     static const NetMetrics m = [] {
       auto& reg = obs::MetricsRegistry::global();
@@ -67,12 +62,6 @@ struct NetMetrics {
       n.evaluate_ns = reg.histogram("net.request.evaluate_ns", stage_bounds());
       n.encode_ns = reg.histogram("net.request.encode_ns", stage_bounds());
       n.total_ns = reg.histogram("net.request.total_ns", stage_bounds());
-      n.coalesce_batch_size = reg.histogram(
-          "net.coalesce.batch_size", obs::exponential_bounds(1.0, 2.0, 21));
-      n.coalesce_requests = reg.histogram(
-          "net.coalesce.requests", obs::exponential_bounds(1.0, 2.0, 17));
-      n.coalesce_linger_ns =
-          reg.histogram("net.coalesce.linger_ns", stage_bounds());
       return n;
     }();
     return m;
@@ -259,8 +248,6 @@ ServerStats Server::stats() const {
   s.bytes_read = bytes_read_.load(std::memory_order_relaxed);
   s.bytes_written = bytes_written_.load(std::memory_order_relaxed);
   s.snapshot_records = snapshot_records_.load(std::memory_order_relaxed);
-  s.coalesced_batches = coalesced_batches_.load(std::memory_order_relaxed);
-  s.coalesced_frames = coalesced_frames_.load(std::memory_order_relaxed);
   const BufPoolStats pool = pool_.stats();
   s.bufpool_allocations = pool.allocations;
   s.bufpool_reuses = pool.reuses;
@@ -573,7 +560,7 @@ bool Server::flush_writable(Conn& conn) {
   const NetMetrics& m = NetMetrics::get();
   // Gathered flush: one sendmsg() covers up to kFlushVecs queued frames,
   // so header + payload (already contiguous in each pooled buffer) are
-  // never re-copied and a coalesced burst of responses costs one syscall.
+  // never re-copied and a burst of queued responses costs one syscall.
   constexpr std::size_t kFlushVecs = 16;
   std::lock_guard<std::mutex> lock(conn.out_mutex);
   while (!conn.outbox.empty()) {
@@ -805,189 +792,89 @@ void Server::reactor_loop() {
 
 void Server::worker_loop() {
   const NetMetrics& m = NetMetrics::get();
-  svc::BatchResults results;  // reused scratch: warm batches allocate nothing
-  CoalesceBuilder builder;    // reused mega-batch arena, likewise
-  std::vector<WorkItem> items;
-  std::vector<WorkItem*> live;  // items surviving the pre-eval deadline check
-  const bool lingering =
-      config_.coalesce_max_queries > 0 && config_.coalesce_linger_us > 0;
+  svc::BatchResults results;  // reused scratch: warm frames allocate nothing
+  const auto expired = [](const WorkItem& item, std::uint64_t now) {
+    return item.deadline_ms > 0 &&
+           now - item.recv_ns >
+               static_cast<std::uint64_t>(item.deadline_ms) * 1'000'000ull;
+  };
   for (;;) {
-    items.clear();
+    WorkItem item;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock, [this] {
         return queue_closed_ || (!queue_.empty() && !workers_paused_);
       });
       if (queue_closed_ && (queue_.empty() || workers_paused_)) return;
-      if (queue_.empty()) continue;
-      items.push_back(std::move(queue_.front()));
+      item = std::move(queue_.front());
       queue_.pop_front();
-
-      if (config_.coalesce_max_queries > 0) {
-        // Continuous batching: stitch the FIFO prefix of frames sharing
-        // this frame's deadline_ms into one mega-batch.  Same-deadline
-        // only, so the deadline passed to a pluggable evaluator — and any
-        // typed error it returns — applies to every stitched frame alike.
-        const std::uint32_t deadline = items.front().deadline_ms;
-        std::size_t total = items.front().queries.size();
-        const auto take_prefix = [&] {
-          while (!workers_paused_ && !queue_.empty() &&
-                 total < config_.coalesce_max_queries &&
-                 queue_.front().deadline_ms == deadline) {
-            total += queue_.front().queries.size();
-            items.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-          }
-        };
-        take_prefix();
-        if (lingering && items.size() > 1) {
-          // Linger: top up a still-growing batch.  The wait is adaptive —
-          // it runs only while frames keep arriving (momentum), never
-          // waits when every outstanding frame is already in this batch
-          // (a sync request-response client never pays it), and is capped
-          // by the max-linger deadline regardless.
-          const auto t_first = std::chrono::steady_clock::now();
-          const auto flush_at =
-              t_first + std::chrono::microseconds(config_.coalesce_linger_us);
-          const auto gap = std::chrono::microseconds(
-              std::max<std::uint32_t>(1, config_.coalesce_linger_us / 4));
-          for (;;) {
-            if (queue_closed_ || total >= config_.coalesce_max_queries) break;
-            if (!queue_.empty() && queue_.front().deadline_ms != deadline) {
-              break;  // head can never join this batch; flush now
-            }
-            if (inflight_.load(std::memory_order_acquire) ==
-                static_cast<std::int64_t>(items.size())) {
-              break;  // nothing else admitted anywhere; flush now
-            }
-            const auto now_tp = std::chrono::steady_clock::now();
-            if (now_tp >= flush_at) break;  // linger deadline: flush
-            const std::size_t before = items.size();
-            queue_cv_.wait_until(lock, std::min(flush_at, now_tp + gap), [&] {
-              return queue_closed_ ||
-                     (!queue_.empty() && !workers_paused_) ||
-                     inflight_.load(std::memory_order_acquire) ==
-                         static_cast<std::int64_t>(items.size());
-            });
-            take_prefix();
-            if (items.size() == before) break;  // momentum lost: flush
-          }
-        }
-      }
       MAIA_OBS_GAUGE(m.depth, static_cast<double>(queue_.size()));
     }
 
     const std::uint64_t t_start = now_ns();
-    builder.clear();
-    live.clear();
-    for (WorkItem& item : items) {
-      MAIA_OBS_HISTOGRAM(m.queue_wait_ns,
-                         static_cast<double>(t_start - item.enqueue_ns));
-      if (item.deadline_ms > 0 &&
-          t_start - item.recv_ns >
-              static_cast<std::uint64_t>(item.deadline_ms) * 1'000'000ull) {
-        // Expired while queued: a typed timeout, never a stale answer.
-        timed_out_.fetch_add(1, std::memory_order_relaxed);
-        MAIA_OBS_COUNT(m.timed_out, 1);
-        send_error(*item.conn, item.request_id, WireError::kDeadlineExceeded);
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    MAIA_OBS_HISTOGRAM(m.queue_wait_ns,
+                       static_cast<double>(t_start - item.enqueue_ns));
+    // Expired while queued: a typed timeout, never a stale answer.
+    WireError rc =
+        expired(item, t_start) ? WireError::kDeadlineExceeded : WireError::kOk;
+    std::uint64_t t_done = t_start;
+    if (rc == WireError::kOk) {
+      if (config_.evaluator) {
+        rc = config_.evaluator(item.queries, results, item.deadline_ms);
       } else {
-        builder.add(item.queries);
-        live.push_back(&item);
+        engine_.evaluate(item.queries, results);
+      }
+      t_done = now_ns();
+      MAIA_OBS_HISTOGRAM(m.evaluate_ns, static_cast<double>(t_done - t_start));
+      // Re-checked after evaluation: a slow evaluation must not smuggle
+      // results past the frame's deadline.
+      if (rc == WireError::kOk && expired(item, t_done)) {
+        rc = WireError::kDeadlineExceeded;
       }
     }
-    if (live.empty()) {
-      wake();
-      if (lingering) queue_cv_.notify_all();
-      continue;
-    }
-    MAIA_OBS_HISTOGRAM(m.coalesce_batch_size,
-                       static_cast<double>(builder.total_queries()));
-    MAIA_OBS_HISTOGRAM(m.coalesce_requests,
-                       static_cast<double>(live.size()));
-    MAIA_OBS_HISTOGRAM(m.coalesce_linger_ns,
-                       static_cast<double>(t_start - items.front().enqueue_ns));
-    if (live.size() >= 2) {
-      coalesced_batches_.fetch_add(1, std::memory_order_relaxed);
-      coalesced_frames_.fetch_add(live.size(), std::memory_order_relaxed);
-    }
 
-    WireError eval_rc = WireError::kOk;
-    if (config_.evaluator) {
-      eval_rc = config_.evaluator(builder.queries(), results,
-                                  live.front()->deadline_ms);
-    } else {
-      engine_.evaluate(builder.queries(), results, config_.eval_pool);
-    }
-    const std::uint64_t t_eval = now_ns();
-    MAIA_OBS_HISTOGRAM(m.evaluate_ns, static_cast<double>(t_eval - t_start));
-
-    if (eval_rc != WireError::kOk) {
-      // The pluggable evaluator failed upstream; relay its typed code to
-      // every stitched frame (they share one deadline, so the code means
-      // the same thing to each) and fold it into the closest counter.
-      for (WorkItem* item : live) {
-        switch (eval_rc) {
-          case WireError::kRetryLater:
-            rejected_.fetch_add(1, std::memory_order_relaxed);
-            MAIA_OBS_COUNT(m.rejected, 1);
-            break;
-          case WireError::kDraining:
-            draining_rejected_.fetch_add(1, std::memory_order_relaxed);
-            MAIA_OBS_COUNT(m.draining, 1);
-            break;
-          case WireError::kDeadlineExceeded:
-            timed_out_.fetch_add(1, std::memory_order_relaxed);
-            MAIA_OBS_COUNT(m.timed_out, 1);
-            break;
-          default:
-            malformed_.fetch_add(1, std::memory_order_relaxed);
-            MAIA_OBS_COUNT(m.malformed, 1);
-            break;
-        }
-        send_error(*item->conn, item->request_id, eval_rc);
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      wake();
-      if (lingering) queue_cv_.notify_all();
-      continue;
-    }
-
-    // Scatter: each frame's result slice is encoded straight into a
-    // pooled buffer at its final framed offsets — no payload staging
-    // vector, no re-copy at send time.
-    const std::uint64_t t_done = now_ns();
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      WorkItem& item = *live[i];
-      const CoalesceBuilder::Slice slice = builder.slice(i);
-      if (item.deadline_ms > 0 &&
-          t_done - item.recv_ns >
-              static_cast<std::uint64_t>(item.deadline_ms) * 1'000'000ull) {
-        // Post-eval re-check: a slow mega-batch must not smuggle results
-        // past this frame's deadline.
-        timed_out_.fetch_add(1, std::memory_order_relaxed);
-        MAIA_OBS_COUNT(m.timed_out, 1);
-        send_error(*item.conn, item.request_id, WireError::kDeadlineExceeded);
-        inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        continue;
-      }
-      const svc::ResultSlice r = results.slice(slice.offset, slice.count);
-      PooledBuf buf = pool_.acquire(batch_response_frame_bytes(slice.count));
-      encode_batch_response_frame(item.request_id, r.values, r.secondary,
-                                  r.flags, buf.bytes());
+    if (rc == WireError::kOk) {
+      // Encoded straight into a pooled buffer at its final framed offsets:
+      // no payload staging vector, no re-copy at send time.
+      PooledBuf buf = pool_.acquire(batch_response_frame_bytes(results.size()));
+      encode_batch_response_frame(item.request_id, results.values(),
+                                  results.secondary(), results.flags(),
+                                  buf.bytes());
       // Count before the response can reach the wire so a client that has
       // seen its reply also sees the served counter reflect it.
       served_.fetch_add(1, std::memory_order_relaxed);
       MAIA_OBS_COUNT(m.served, 1);
       enqueue_out(*item.conn, std::move(buf));
-      MAIA_OBS_HISTOGRAM(m.total_ns,
-                         static_cast<double>(now_ns() - item.recv_ns));
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
+      const std::uint64_t t_sent = now_ns();
+      MAIA_OBS_HISTOGRAM(m.encode_ns, static_cast<double>(t_sent - t_done));
+      MAIA_OBS_HISTOGRAM(m.total_ns, static_cast<double>(t_sent - item.recv_ns));
+    } else {
+      // A timeout, or a pluggable evaluator's typed error relayed from
+      // upstream; fold it into the closest counter.
+      switch (rc) {
+        case WireError::kRetryLater:
+          rejected_.fetch_add(1, std::memory_order_relaxed);
+          MAIA_OBS_COUNT(m.rejected, 1);
+          break;
+        case WireError::kDraining:
+          draining_rejected_.fetch_add(1, std::memory_order_relaxed);
+          MAIA_OBS_COUNT(m.draining, 1);
+          break;
+        case WireError::kDeadlineExceeded:
+          timed_out_.fetch_add(1, std::memory_order_relaxed);
+          MAIA_OBS_COUNT(m.timed_out, 1);
+          break;
+        default:
+          malformed_.fetch_add(1, std::memory_order_relaxed);
+          MAIA_OBS_COUNT(m.malformed, 1);
+          break;
+      }
+      send_error(*item.conn, item.request_id, rc);
     }
-    MAIA_OBS_HISTOGRAM(m.encode_ns, static_cast<double>(now_ns() - t_done));
+    inflight_.fetch_sub(1, std::memory_order_acq_rel);
+    // The response is already queued (and the reactor woken); this second
+    // wake lets a draining reactor see inflight_ reach zero promptly.
     wake();
-    // Lingering workers key off inflight_; tell them the world changed.
-    if (lingering) queue_cv_.notify_all();
   }
 }
 

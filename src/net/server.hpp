@@ -12,22 +12,17 @@
 //     explicit backpressure: the reactor answers RETRY_LATER immediately
 //     and drops nothing — a client that backs off and resends loses no
 //     work, and the queue depth bounds server memory under overload.
-//   * Workers drain the queue by *continuous batching*: a worker pops a
-//     frame, greedily stitches every queued frame with the same
-//     deadline_ms into one engine mega-batch (src/net/coalesce.hpp), tops
-//     it up for at most coalesce_linger_us while other admitted work is
-//     still in flight, runs ONE evaluation, and scatters each frame's
-//     result slice back to its connection.  Per-frame semantics are
-//     unchanged: the deadline is enforced both before and after the
-//     evaluation (a slow mega-batch cannot smuggle results past a frame's
-//     deadline), RETRY_LATER still answers a full queue, and each frame's
-//     bytes are identical to an uncoalesced evaluation (the engine's
-//     slice-composition guarantee).
-//   * Responses take a zero-copy path: workers encode each frame directly
-//     into a pooled buffer (src/net/bufpool.hpp) at its final framed
-//     offsets, the reactor flushes outboxes with one sendmsg/writev over
-//     many frames, and the buffer returns to the pool — the steady state
-//     allocates nothing per response.
+//   * Each admitted frame is exactly one evaluation.  A worker pops one
+//     frame, answers DEADLINE_EXCEEDED if it expired while queued, and
+//     otherwise evaluates that frame's own queries: serially in the
+//     engine, or through config.evaluator with the frame's own
+//     deadline_ms.  The deadline is checked again after the evaluation,
+//     so a slow evaluation never smuggles results past it.
+//   * Responses take a zero-copy path: the worker encodes the answer
+//     directly into a pooled buffer (src/net/bufpool.hpp) at its final
+//     framed offsets, the reactor flushes outboxes with one sendmsg/writev
+//     over many frames, and the buffer returns to the pool — the steady
+//     state allocates nothing per response.
 //
 // Graceful drain (request_drain(), typically from a SIGTERM handler —
 // async-signal-safe): the reactor closes and unlinks the listener, answers
@@ -64,17 +59,13 @@
 #include "net/transport.hpp"
 #include "svc/engine.hpp"
 
-namespace maia::sim {
-class ThreadPool;
-}
-
 namespace maia::net {
 
 struct ServerConfig {
   /// Listen endpoint: "unix:/path", "tcp:host:port", or a bare unix path
   /// (back-compat).  See net/transport.hpp for the address scheme.
   std::string socket_path = "maia.sock";
-  /// Evaluation worker threads (each runs whole batches; <= 0 -> 1).
+  /// Evaluation worker threads (each runs whole frames; <= 0 -> 1).
   int workers = 1;
   /// Bounded admission queue depth; a full queue answers RETRY_LATER.
   std::size_t admission_depth = 64;
@@ -82,25 +73,12 @@ struct ServerConfig {
   std::size_t max_payload_bytes = kDefaultMaxPayload;
   /// Forced-exit ceiling on drain (queue flush + outbox flush).
   std::uint32_t drain_timeout_ms = 30'000;
-  /// Continuous batching: a worker stitches queued frames sharing one
-  /// deadline_ms into a single engine mega-batch of up to this many
-  /// queries before evaluating.  0 disables coalescing (one frame per
-  /// evaluation, the pre-PR-9 behavior).
-  std::size_t coalesce_max_queries = 65536;
-  /// Max-linger deadline: how long a worker tops up a below-target
-  /// mega-batch waiting for more frames.  The wait self-cancels as soon
-  /// as no other admitted work exists (every outstanding frame is already
-  /// in the batch), so an idle or request-response workload never pays
-  /// it.  0 = flush immediately after the greedy drain.
-  std::uint32_t coalesce_linger_us = 200;
   /// When nonempty, save a cache snapshot here at the end of drain.
   std::string snapshot_out;
-  /// Optional pool for intra-batch parallelism inside evaluate(); null
-  /// keeps each batch serial within its worker (workers still overlap).
-  sim::ThreadPool* eval_pool = nullptr;
   /// Pluggable batch evaluator.  Null -> the local engine evaluates.
   /// When set, workers call it instead (the router front server plugs in
-  /// its scatter/gather fan-out here); it must fill `out` with one result
+  /// its scatter/gather fan-out here), once per admitted frame with that
+  /// frame's queries and deadline_ms; it must fill `out` with one result
   /// per query at its input index, or return a typed error the server
   /// answers the request with.  Called concurrently from all workers.
   std::function<WireError(std::span<const svc::Query>, svc::BatchResults&,
@@ -151,8 +129,6 @@ struct ServerStats {
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   std::uint64_t snapshot_records = 0;  ///< records persisted by drain
-  std::uint64_t coalesced_batches = 0;  ///< evaluations stitching >= 2 frames
-  std::uint64_t coalesced_frames = 0;   ///< frames answered by those
   std::uint64_t bufpool_allocations = 0;  ///< response buffers heap-allocated
   std::uint64_t bufpool_reuses = 0;       ///< response buffers recycled
 };
@@ -270,8 +246,6 @@ class Server {
   std::atomic<std::uint64_t> bytes_read_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<std::uint64_t> snapshot_records_{0};
-  std::atomic<std::uint64_t> coalesced_batches_{0};
-  std::atomic<std::uint64_t> coalesced_frames_{0};
 
   mutable std::mutex wait_mutex_;
   std::condition_variable wait_cv_;

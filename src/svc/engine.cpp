@@ -620,9 +620,12 @@ std::uint64_t QueryEngine::calibration_hash() const {
 }
 
 SnapshotSaveResult QueryEngine::save_snapshot(const std::string& path) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return {SnapshotError::kIoError, 0};
-  return save_snapshot_range(os);
+  SnapshotSaveResult saved;
+  const SnapshotError rc = write_file_atomically(path, [&](std::ostream& os) {
+    saved = save_snapshot_range(os);
+    return saved.ok();
+  });
+  return rc == SnapshotError::kOk ? saved : SnapshotSaveResult{rc, 0};
 }
 
 SnapshotSaveResult QueryEngine::save_snapshot_range(std::ostream& os,

@@ -26,12 +26,9 @@
 // computation would produce.  tests/svc_test.cpp enforces it on randomized
 // batches.
 //
-// A corollary the serving tier leans on: because results are positional
-// and composition-independent, any contiguous slice of a batch's results
-// (BatchResults::slice) equals the result of evaluating just those
-// queries.  The server's continuous batching stitches many client frames
-// into one mega-batch on this guarantee and scatters the slices back
-// per frame, byte-identical to per-frame evaluation.
+// The serving tier leans on the same contract: a server evaluates each
+// client frame on its own, so every layer (engine, wire, router) answers
+// byte-identically to evaluate_serial over that frame's queries.
 #pragma once
 
 #include <atomic>
@@ -143,6 +140,8 @@ class QueryEngine {
   /// Persist every resident cache entry to `path` (svc/snapshot.hpp
   /// format).  Safe to call while other threads evaluate(): each shard is
   /// drained under its lock, so the snapshot is per-shard consistent.
+  /// Crash-safe (write_file_atomically): a failed save returns kIoError
+  /// and leaves any previous file at `path` untouched.
   SnapshotSaveResult save_snapshot(const std::string& path);
 
   /// Warm the shard caches from a snapshot at `path`.  The file is fully

@@ -133,22 +133,6 @@ struct QueryResult {
   static constexpr std::uint32_t kOutOfMemory = 1u << 0;
 };
 
-/// A read-only window into a BatchResults' lanes: the answers to queries
-/// [offset, offset+count) of the evaluated batch.  Because the engine
-/// writes each result at its input index and is byte-identical to the
-/// serial loop for any batch composition, the slice covering one client
-/// frame inside a coalesced mega-batch is exactly the response that frame
-/// would have received evaluated alone — this is what makes server-side
-/// continuous batching (src/net/coalesce.hpp) a pure transport
-/// optimization.
-struct ResultSlice {
-  std::span<const double> values;
-  std::span<const double> secondary;
-  std::span<const std::uint32_t> flags;
-
-  std::size_t size() const { return values.size(); }
-};
-
 /// Structure-of-arrays arena for batch results.  The engine writes each
 /// query's answer at its input index, so output order never depends on
 /// shard scheduling.  The arena also owns the canonicalization scratch —
@@ -169,16 +153,6 @@ class BatchResults {
   std::span<const double> values() const { return values_; }
   std::span<const double> secondary() const { return secondary_; }
   std::span<const std::uint32_t> flags() const { return flags_; }
-
-  /// The answers to queries [offset, offset+count) — the scatter API for
-  /// coalesced evaluation (see ResultSlice for why this is exact).
-  ResultSlice slice(std::size_t offset, std::size_t count) const {
-    ResultSlice s;
-    s.values = std::span<const double>(values_).subspan(offset, count);
-    s.secondary = std::span<const double>(secondary_).subspan(offset, count);
-    s.flags = std::span<const std::uint32_t>(flags_).subspan(offset, count);
-    return s;
-  }
 
   // Mutable result lanes for external producers.  The scatter/gather
   // router fills a BatchResults from backend responses, writing each

@@ -1,7 +1,13 @@
 #include "svc/snapshot.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <array>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -245,6 +251,36 @@ SnapshotReadResult read_snapshot(std::istream& is,
   return out;
 }
 
+SnapshotError write_file_atomically(const std::string& path,
+                                    const std::function<bool(std::ostream&)>& write) {
+  std::string tmp = path;
+  tmp += ".tmp.XXXXXX";
+  const int fd = ::mkstemp(tmp.data());
+  if (fd < 0) return SnapshotError::kIoError;
+  // mkstemp creates 0600; give the snapshot the usual file mode.
+  bool ok = ::fchmod(fd, S_IRUSR | S_IWUSR | S_IRGRP | S_IROTH) == 0;
+  if (ok) {
+    std::ofstream os(tmp, std::ios::binary);
+    ok = os && write(os);
+    os.close();  // flushes; a failed flush sets failbit
+    ok = ok && !os.fail();
+  }
+  ok = ok && ::fsync(fd) == 0;
+  ok = ::close(fd) == 0 && ok;
+  ok = ok && std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    ::unlink(tmp.c_str());
+    return SnapshotError::kIoError;
+  }
+  // The rename survives a crash only once the directory entry is on disk.
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  const int dir_fd =
+      ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  ok = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  return ok ? SnapshotError::kOk : SnapshotError::kIoError;
+}
+
 PartitionResult partition_snapshot(const std::string& in_path,
                                    std::span<const std::string> out_paths) {
   PartitionResult out;
@@ -283,19 +319,13 @@ PartitionResult partition_snapshot(const std::string& in_path,
   }
   out.records_per_shard.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    std::ofstream os(out_paths[s], std::ios::binary | std::ios::trunc);
-    if (!os) {
-      out.error = SnapshotError::kIoError;
-      return out;
-    }
     const std::uint64_t count = split[s].size();
-    write_snapshot(os, calibration, std::span<const std::uint64_t>(&count, 1),
-                   split[s]);
-    os.flush();
-    if (!os) {
-      out.error = SnapshotError::kIoError;
-      return out;
-    }
+    out.error = write_file_atomically(out_paths[s], [&](std::ostream& os) {
+      write_snapshot(os, calibration, std::span<const std::uint64_t>(&count, 1),
+                     split[s]);
+      return static_cast<bool>(os);
+    });
+    if (!out.ok()) return out;
     out.records_per_shard[s] = count;
   }
   return out;

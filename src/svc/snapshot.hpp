@@ -30,9 +30,14 @@
 // The per-shard counts are advisory (they let a same-shape engine refill
 // without rehashing); records are re-sharded by key hash on load, so a
 // snapshot warms engines of any shard count.
+//
+// Saves are crash-safe: QueryEngine::save_snapshot and partition_snapshot
+// both write through write_file_atomically, so a failed or interrupted
+// save leaves the previous snapshot file intact.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -81,6 +86,16 @@ void write_snapshot(std::ostream& os, std::uint64_t calibration_hash,
                     std::span<const std::uint64_t> shard_counts,
                     std::span<const SnapshotRecord> records);
 
+/// Replace the file at `path` with the bytes `write` puts on the stream,
+/// crash-safely.  The bytes go to a fresh temp file beside `path` (mkstemp,
+/// so concurrent saves never share one), which is flushed, fsync'd and
+/// renamed over `path`; then the directory is fsync'd.  A reader, or a
+/// restart after a crash, sees the old file or the new one, never a torn
+/// one.  On any failure, including `write` returning false, the temp file
+/// is unlinked and the result is kIoError.
+SnapshotError write_file_atomically(const std::string& path,
+                                    const std::function<bool(std::ostream&)>& write);
+
 struct SnapshotReadResult {
   SnapshotError error = SnapshotError::kOk;
   std::vector<std::uint64_t> shard_counts;
@@ -108,6 +123,8 @@ struct PartitionResult {
 /// exactly the keys `maia_serve --shard i/N` will be asked.  The source
 /// file is fully validated first (against its own stored calibration,
 /// which every output preserves); on any error nothing useful is written.
+/// Each output is replaced through write_file_atomically, so a failed
+/// write leaves that path's previous file intact.
 PartitionResult partition_snapshot(const std::string& in_path,
                                    std::span<const std::string> out_paths);
 

@@ -5,12 +5,12 @@
 // survives), and the live server over a real unix socket — byte-identity
 // against the serial engine, admission-queue backpressure (RETRY_LATER,
 // never a silent drop), per-request deadlines, stale-socket startup
-// robustness, graceful drain with snapshot-on-shutdown, continuous
-// batching (interleaved connections stitched into one mega-batch with
-// byte-identical per-frame slices, linger flush promptness, post-eval
-// deadline re-check, buffer-pool reuse), and multi-client concurrent
-// soaks (run under TSan in CI) including drain-under-load with and
-// without coalescing.
+// robustness, graceful drain with snapshot-on-shutdown, one evaluation
+// per frame (interleaved connections and pipelined frames each answered
+// byte-identically and matched by request id, the evaluator seeing each
+// frame alone with its own deadline, post-eval deadline re-check,
+// buffer-pool reuse), and multi-client concurrent soaks (run under TSan
+// in CI) including drain-under-load with large and small frames.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -20,10 +20,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <random>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/registry.hpp"
@@ -657,13 +659,12 @@ TEST(ServerTest, GracefulDrainFlushesInFlightAndSavesSnapshot) {
   ::unlink(snapshot_path.c_str());
 }
 
-// -------------------------------------------------- continuous batching ---
+// --------------------------------------------- one evaluation per frame ---
 
-TEST(CoalesceTest, InterleavedConnectionsGetByteIdenticalSlices) {
+TEST(ServerTest, InterleavedConnectionsGetByteIdenticalResponses) {
   // Four connections, four different-size frames, all admitted while the
-  // workers are frozen — the single worker must stitch them into one
-  // mega-batch on resume, and every connection must still get exactly its
-  // own slice, byte-identical to a standalone serial evaluation.
+  // workers are frozen — on resume every connection must get exactly its
+  // own response, byte-identical to a standalone serial evaluation.
   ServerConfig config;
   config.workers = 1;
   config.admission_depth = 16;
@@ -702,19 +703,85 @@ TEST(CoalesceTest, InterleavedConnectionsGetByteIdenticalSlices) {
   }
   const ServerStats stats = ts.server->stats();
   EXPECT_EQ(stats.served, 4u);
-  EXPECT_GE(stats.coalesced_batches, 1u);
-  EXPECT_GE(stats.coalesced_frames, 2u);
 }
 
-TEST(CoalesceTest, LoneAndPipelinedFramesFlushWithoutLingerStall) {
-  // An absurd linger budget must never delay a frame that has nothing to
-  // coalesce with: a lone frame flushes immediately (the linger only arms
-  // once a batch holds >= 2 frames), and a pipelined burst flushes as soon
-  // as every admitted frame is aboard.
+TEST(ServerTest, EvaluatorSeesEachFrameAlone) {
+  // Four frames from four connections queue behind a paused worker, all
+  // with one deadline.  The evaluator must still be called once per frame,
+  // with that frame's own queries and deadline_ms, and every response must
+  // carry exactly its own call's stub answers.
+  using Call = std::pair<std::size_t, std::uint32_t>;  // (queries, deadline)
+  std::mutex calls_mutex;
+  std::vector<Call> calls;
+  ServerConfig config;
+  config.workers = 1;
+  config.admission_depth = 16;
+  config.evaluator = [&](std::span<const svc::Query> queries,
+                         svc::BatchResults& out,
+                         std::uint32_t deadline_ms) -> WireError {
+    {
+      std::lock_guard<std::mutex> lock(calls_mutex);
+      calls.emplace_back(queries.size(), deadline_ms);
+    }
+    out.resize(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      out.values_mut()[i] = static_cast<double>(i);
+      out.secondary_mut()[i] = static_cast<double>(queries.size());
+      out.flags_mut()[i] = 0;
+    }
+    return WireError::kOk;
+  };
+  TestServer ts(config);
+  ts.server->pause_workers();
+
+  constexpr std::uint32_t kDeadlineMs = 60'000;
+  const std::vector<std::size_t> sizes = {5, 6, 7, 8};
+  std::vector<Client> clients(sizes.size());
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    ts.connect(clients[c]);
+    const std::vector<svc::Query> queries = random_batch(
+        test::case_seed(131) + static_cast<std::uint32_t>(c), sizes[c]);
+    ASSERT_TRUE(clients[c].send_raw(encode_frame(
+        batch_header(950 + c, kDeadlineMs), encode_batch_request(queries))));
+  }
+  // The reactor keeps admitting while the worker is paused; wait until all
+  // four frames sit in the queue together.
+  for (int spin = 0; spin < 500 && ts.server->stats().queue_depth < sizes.size();
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(ts.server->stats().queue_depth, sizes.size());
+  ts.server->resume_workers();
+
+  for (std::size_t c = 0; c < sizes.size(); ++c) {
+    std::optional<Frame> response = clients[c].read_response(950 + c);
+    ASSERT_TRUE(response.has_value()) << c;
+    ASSERT_EQ(response->header.type, FrameType::kBatchResponse) << c;
+    const auto decoded = decode_batch_response(response->payload);
+    ASSERT_TRUE(decoded.has_value()) << c;
+    ASSERT_EQ(decoded->size(), sizes[c]) << c;
+    const double secondary = static_cast<double>(sizes[c]);
+    for (std::size_t i = 0; i < sizes[c]; ++i) {
+      const double value = static_cast<double>(i);
+      EXPECT_EQ(std::memcmp(&(*decoded)[i].value, &value, 8), 0) << c << "/" << i;
+      EXPECT_EQ(std::memcmp(&(*decoded)[i].secondary, &secondary, 8), 0)
+          << c << "/" << i;
+      EXPECT_EQ((*decoded)[i].flags, 0u) << c << "/" << i;
+    }
+  }
+  std::lock_guard<std::mutex> lock(calls_mutex);
+  const std::multiset<Call> seen(calls.begin(), calls.end());
+  const std::multiset<Call> expected = {
+      {5, kDeadlineMs}, {6, kDeadlineMs}, {7, kDeadlineMs}, {8, kDeadlineMs}};
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(ServerTest, PipelinedFramesAreMatchedById) {
+  // A lone frame and a pipelined burst on one connection are each answered
+  // promptly and byte-identically; the burst's responses are matched by
+  // request id, since two workers may finish them in any order.
   ServerConfig config;
   config.workers = 2;
-  config.coalesce_max_queries = 65536;
-  config.coalesce_linger_us = 500'000;  // 500 ms: a stall would be obvious
   TestServer ts(config);
   Client client;
   ts.connect(client);
@@ -730,7 +797,7 @@ TEST(CoalesceTest, LoneAndPipelinedFramesFlushWithoutLingerStall) {
                                                 t0)
           .count();
   expect_identical(results, reference);
-  EXPECT_LT(lone_ms, 250.0) << "a lone frame waited for the linger deadline";
+  EXPECT_LT(lone_ms, 250.0) << "a lone frame was not answered promptly";
 
   const std::vector<std::uint8_t> payload = encode_batch_request(queries);
   const auto t1 = std::chrono::steady_clock::now();
@@ -755,14 +822,14 @@ TEST(CoalesceTest, LoneAndPipelinedFramesFlushWithoutLingerStall) {
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 t1)
           .count();
-  EXPECT_LT(burst_ms, 250.0) << "a pipelined burst waited for the linger";
+  EXPECT_LT(burst_ms, 250.0) << "a pipelined burst was not answered promptly";
 }
 
-TEST(CoalesceTest, DeadlineRecheckedAfterEvaluation) {
-  // A mega-batch that evaluates slowly must not smuggle results past a
-  // frame's deadline: the deadline is re-checked AFTER the coalesced
-  // evaluation, and an expired frame gets the typed timeout even though
-  // its slice was computed.
+TEST(ServerTest, DeadlineRecheckedAfterEvaluation) {
+  // A frame that evaluates slowly must not smuggle results past its
+  // deadline: the deadline is re-checked AFTER the evaluation, and an
+  // expired frame gets the typed timeout even though its results were
+  // computed.
   ServerConfig config;
   config.workers = 1;
   config.evaluator = [](std::span<const svc::Query> queries,
@@ -804,7 +871,7 @@ TEST(CoalesceTest, DeadlineRecheckedAfterEvaluation) {
   EXPECT_EQ(ts.server->stats().served, 1u);
 }
 
-TEST(CoalesceTest, BufferPoolReusesAfterWarmup) {
+TEST(ServerTest, BufferPoolReusesAfterWarmup) {
   // The zero-copy response path must hit zero steady-state allocation:
   // after a few same-shaped frames warm the buffer pool, further frames
   // recycle buffers (reuse counter grows, allocation counter is flat).
@@ -912,11 +979,10 @@ TEST(ServerSoakTest, ConcurrentClientsStayByteIdenticalThroughDrain) {
   EXPECT_EQ(stats.served, completed.load() + stats.timed_out);
 }
 
-// The same drain-under-load soak with coalescing forced on and frames
-// small enough that mega-batches really stitch across connections: the
-// drain must still answer every admitted frame individually (no response
-// lost inside a half-built mega-batch), byte-identical.  Runs under TSan.
-TEST(ServerSoakTest, DrainUnderLoadWithCoalescingSmallFrames) {
+// The same drain-under-load soak with small frames from more clients than
+// workers: the drain must still answer every admitted frame, byte-identical.
+// Runs under TSan.
+TEST(ServerSoakTest, DrainUnderLoadSmallFrames) {
   constexpr int kClients = 4;
   constexpr int kBatchesPerClient = 24;
   constexpr std::size_t kBatchSize = 24;
@@ -924,8 +990,6 @@ TEST(ServerSoakTest, DrainUnderLoadWithCoalescingSmallFrames) {
   ServerConfig config;
   config.workers = 2;
   config.admission_depth = 8;
-  config.coalesce_max_queries = 65536;
-  config.coalesce_linger_us = 200;
   TestServer ts(config);
 
   std::vector<std::vector<svc::Query>> workloads;

@@ -18,6 +18,9 @@
 //   * engine-level fallback — every corruption class leaves a loading
 //     engine cold (still byte-identical to serial) and is counted under
 //     svc.snapshot.rejected[.<reason>];
+//   * crash-safe saves — a save that fails part way (a file-size cap in
+//     a child process) leaves the previous snapshot byte-identical and
+//     no temp file beside it;
 //   * concurrency (run under TSan in CI) — save_snapshot racing
 //     concurrent evaluate() batches, two engines loading one file
 //     simultaneously, and a load racing an evaluate on the same engine.
@@ -26,9 +29,14 @@
 // seed (tests/test_seed.hpp), so any failure reproduces exactly.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -564,6 +572,41 @@ TEST(SnapshotEngineTest, UnwritablePathIsIoError) {
   const SnapshotSaveResult saved = engine.save_snapshot(testing::TempDir());
   EXPECT_FALSE(saved.ok());
   EXPECT_EQ(saved.error, SnapshotError::kIoError);
+}
+
+TEST(SnapshotEngineTest, FailedSaveKeepsThePreviousSnapshot) {
+  QueryEngine engine = make_engine();
+  BatchResults out;
+  engine.evaluate(random_batch(test::case_seed(127), 2000), out);
+  TempFile file("crash_safe.snap");
+  ASSERT_TRUE(engine.save_snapshot(file.path).ok());
+  const std::string good = slurp(file.path);
+  ASSERT_GT(good.size(), 16384u) << "too small for the cap below to bite";
+
+  // Save again in a child whose file-size limit is half the image: with
+  // SIGXFSZ ignored, the write past the cap fails with EFBIG part way
+  // through, the stand-in for ENOSPC or a crash mid-save.
+  const auto save_under_cap = [&] {
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap{};
+    cap.rlim_cur = cap.rlim_max = good.size() / 2;
+    ::setrlimit(RLIMIT_FSIZE, &cap);
+    const SnapshotSaveResult again = engine.save_snapshot(file.path);
+    std::_Exit(again.error == SnapshotError::kIoError ? 0 : 1);
+  };
+  EXPECT_EXIT(save_under_cap(), testing::ExitedWithCode(0), "");
+
+  const std::string after = slurp(file.path);
+  EXPECT_TRUE(after == good) << "the failed save damaged the snapshot: "
+                             << after.size() << " of " << good.size() << " bytes";
+  const std::filesystem::path target(file.path);
+  const std::string name = target.filename().string();
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string other = entry.path().filename().string();
+    EXPECT_FALSE(other != name && other.rfind(name, 0) == 0)
+        << "temp file left behind: " << other;
+  }
 }
 
 TEST(SnapshotEngineTest, RecalibratedEngineRejectsTheSnapshotAsStale) {
